@@ -657,7 +657,7 @@ pub fn fda(
                             None => "-".to_string(),
                         }
                     } else {
-                        dims.job_name(d as usize - 1, id).to_string()
+                        dims.job_name(d as usize - 1, id)
                     },
                 })
                 .collect(),

@@ -10,9 +10,13 @@
 //!
 //! 1. **Intern** every dimension value to a dense `u32` id through a
 //!    *sorted* dictionary ([`bgp_model::intern::Interner`]), and lay the
-//!    job table out column-per-dimension (structure of arrays). Id order
-//!    is value order, so every loop over ids is a deterministic loop over
-//!    values — no hash-iteration order can leak into results.
+//!    job table out column-per-dimension (structure of arrays). The job
+//!    columns are taken straight from the typed ids (user, project and
+//!    executable numbers, the partition's first midplane index, its size)
+//!    with no per-value label table; a display name is formatted from the
+//!    dictionary value only for an itemset that is actually ranked. Id
+//!    order is value order, so every loop over ids is a deterministic loop
+//!    over values — no hash-iteration order can leak into results.
 //! 2. **Mine** the lattice Apriori-style, level by level. Candidate
 //!    itemsets at each level are generated serially (join + downward
 //!    closure over the previous frequent level), *counted* in parallel —
@@ -36,9 +40,9 @@ use crate::event::Event;
 use crate::matching::Matching;
 use bgp_model::bytes::map_chunks_parallel;
 use bgp_model::intern::Interner;
-use joblog::JobRecord;
+use bgp_model::MidplaneId;
+use joblog::{ExecId, JobRecord, ProjectId, UserId};
 use raslog::ErrCode;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Number of lattice dimensions (errcode, midplane, user, project,
@@ -145,19 +149,22 @@ impl FdaParams {
 }
 
 /// The interned job-side columns: one dense-`u32` column per job
-/// dimension, the sorted dictionaries behind the ids, display names per
-/// id, and a `job_id → row` index. Built once per [`AnalysisContext`]
-/// (lazily, on first use) beside the existing sorted shards.
+/// dimension, the sorted dictionaries behind the ids, and a
+/// `job_id → row` index. Columns come straight from the typed ids
+/// (`UserId`, `ProjectId`, `ExecId`, the partition's first midplane and
+/// its size); display names are formatted from the dictionary value only
+/// when an itemset is ranked ([`JobDims::job_name`]). Built once per
+/// [`AnalysisContext`] (lazily, on first use) beside the existing sorted
+/// shards.
 #[derive(Debug, Clone, Default)]
 pub struct JobDims {
     /// Column per job dimension, `cols[d][row]` = interned id. Order:
     /// midplane, user, project, exec, size (lattice dims 1..6).
     cols: [Vec<u32>; NUM_JOB_DIMS],
-    /// Sorted dictionaries; `dicts[d].len()` is the id universe of
-    /// column `d`.
+    /// Sorted dictionaries of the typed values; `dicts[d].len()` is the
+    /// id universe of column `d`. A job with an empty partition has the
+    /// midplane value `u64::MAX`.
     dicts: [Interner<u64>; NUM_JOB_DIMS],
-    /// Display name per id, `names[d][id]`.
-    names: [Vec<String>; NUM_JOB_DIMS],
     /// `(job_id, row)` sorted by job id.
     by_job_id: Vec<(u64, u32)>,
 }
@@ -168,31 +175,12 @@ impl JobDims {
     pub fn from_jobs(jobs: &[JobRecord]) -> JobDims {
         let n = jobs.len();
         let mut raw: [Vec<u64>; NUM_JOB_DIMS] = std::array::from_fn(|_| Vec::with_capacity(n));
-        let mut labels: [BTreeMap<u64, String>; NUM_JOB_DIMS] =
-            std::array::from_fn(|_| BTreeMap::new());
         for j in jobs {
-            let mp = j.partition.midplanes().next();
-            let mp_key = mp.map_or(u64::MAX, |m| m.index() as u64);
-            raw[0].push(mp_key);
+            raw[0].push(j.partition.first().map_or(u64::MAX, |m| m.index() as u64));
             raw[1].push(u64::from(j.user.0));
             raw[2].push(u64::from(j.project.0));
             raw[3].push(u64::from(j.exec.0));
             raw[4].push(u64::from(j.size_midplanes()));
-            labels[0]
-                .entry(mp_key)
-                .or_insert_with(|| mp.map_or_else(|| "-".to_string(), |m| m.to_string()));
-            labels[1]
-                .entry(u64::from(j.user.0))
-                .or_insert_with(|| j.user.to_string());
-            labels[2]
-                .entry(u64::from(j.project.0))
-                .or_insert_with(|| j.project.to_string());
-            labels[3]
-                .entry(u64::from(j.exec.0))
-                .or_insert_with(|| j.exec.to_string());
-            labels[4]
-                .entry(u64::from(j.size_midplanes()))
-                .or_insert_with(|| j.size_midplanes().to_string());
         }
         let dicts: [Interner<u64>; NUM_JOB_DIMS] =
             std::array::from_fn(|d| Interner::from_values(raw[d].iter().copied()));
@@ -200,13 +188,6 @@ impl JobDims {
             raw[d]
                 .iter()
                 .map(|&k| dicts[d].id(k).unwrap_or(0))
-                .collect()
-        });
-        let names: [Vec<String>; NUM_JOB_DIMS] = std::array::from_fn(|d| {
-            dicts[d]
-                .values()
-                .iter()
-                .map(|k| labels[d].get(k).cloned().unwrap_or_default())
                 .collect()
         });
         let mut by_job_id: Vec<(u64, u32)> = jobs
@@ -218,7 +199,6 @@ impl JobDims {
         JobDims {
             cols,
             dicts,
-            names,
             by_job_id,
         }
     }
@@ -247,12 +227,25 @@ impl JobDims {
         self.dicts.get(d).map_or(0, Interner::len)
     }
 
-    /// Display name of `id` in job dimension `d` ("" when out of range).
-    pub fn job_name(&self, d: usize, id: u32) -> &str {
-        self.names
-            .get(d)
-            .and_then(|names| names.get(id as usize))
-            .map_or("", String::as_str)
+    /// Display name of `id` in job dimension `d` ("" when out of range),
+    /// formatted from the dictionary value with the typed `Display`: a
+    /// midplane (`-` for an empty partition), `UserId`, `ProjectId`,
+    /// `ExecId`, or the size in midplanes.
+    pub fn job_name(&self, d: usize, id: u32) -> String {
+        let Some(v) = self.dicts.get(d).and_then(|dict| dict.value(id)) else {
+            return String::new();
+        };
+        let typed = u32::try_from(v).unwrap_or(u32::MAX);
+        match d {
+            0 => u8::try_from(v)
+                .ok()
+                .and_then(|i| MidplaneId::from_index(i).ok())
+                .map_or_else(|| "-".to_string(), |m| m.to_string()),
+            1 => UserId(typed).to_string(),
+            2 => ProjectId(typed).to_string(),
+            3 => ExecId(typed).to_string(),
+            _ => typed.to_string(),
+        }
     }
 }
 
@@ -530,19 +523,15 @@ impl FdaAnalysis {
     }
 }
 
-/// Display name for one item.
+/// Display name for one item, formatted on demand for a ranked itemset.
 fn item_name(dims: &JobDims, errdict: &Interner<u16>, d: u8, id: u32) -> String {
-    if d == 0 {
-        return match id.checked_sub(1).and_then(|i| errdict.value(i)) {
+    match (d as usize).checked_sub(1) {
+        Some(job_dim) => dims.job_name(job_dim, id),
+        None => match id.checked_sub(1).and_then(|i| errdict.value(i)) {
             Some(code) => ErrCode(code).to_string(),
             None => "-".to_string(),
-        };
+        },
     }
-    dims.names
-        .get(d as usize - 1)
-        .and_then(|names| names.get(id as usize))
-        .cloned()
-        .unwrap_or_default()
 }
 
 /// Apriori join + downward closure: from the lex-sorted frequent

@@ -398,10 +398,11 @@ impl<'a> AnalysisContext<'a> {
     }
 
     /// The interned job-dimension columns of the FDA lattice (midplane,
-    /// user, project, executable, size — one dense-`u32` column each, plus
-    /// the sorted dictionaries behind the ids). Built lazily on first call
-    /// and memoized for the context's lifetime, so only the `Fda` stage
-    /// pays the columnarization cost.
+    /// user, project, executable, size — one dense-`u32` column each, taken
+    /// straight from the typed ids, plus the sorted dictionaries behind
+    /// them; display names are formatted later, only for ranked itemsets).
+    /// Built lazily on first call and memoized for the context's lifetime,
+    /// so only the `Fda` stage pays the columnarization cost.
     pub fn fda_columns(&self) -> &JobDims {
         self.fda_dims
             .get_or_init(|| JobDims::from_jobs(self.jobs.jobs()))

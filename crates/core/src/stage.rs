@@ -221,6 +221,11 @@ impl AnalysisSet {
         }
     }
 
+    /// Do the two sets share a stage?
+    pub fn intersects(self, other: AnalysisSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
     /// The member stages, in topological order.
     pub fn stages(self) -> Vec<StageId> {
         StageId::ALL
@@ -1066,11 +1071,15 @@ fn dirty_accessors(delta: &ContextDelta) -> Vec<&'static str> {
 /// changed under `delta`, serving everything else from `cache`.
 ///
 /// A stage is *dirty* when it has no cached output, when one of its
-/// [`StageId::ctx_reads`] accessors is in the delta's dirty set, or when an
-/// upstream dependency re-ran *and produced a different output* — equality
-/// with the cached value cuts propagation short (an append whose new events
-/// are all dedup'd away re-runs the filters and nothing downstream). Clean
-/// stages install their cached product unchanged.
+/// [`StageId::ctx_reads`] accessors is in the delta's dirty set, or when any
+/// stage in its transitive upstream closure re-ran *and produced a different
+/// output*. The closure, not just the direct deps, because stages read
+/// products from further up: `Fda` reads `events` (from `Causal`) while
+/// depending only on `Matching`, and a record absorbed into an existing
+/// event changes `events` but can leave `Matching` equal. Equality with the
+/// cached value cuts propagation short (an append whose new events are all
+/// dedup'd away re-runs the filters and nothing downstream). Clean stages
+/// install their cached product unchanged.
 ///
 /// Contract: bit-identical to a full [`execute`] of `set` over the same
 /// (post-append) context — guaranteed by `EventStore::append_ras` keeping
@@ -1107,7 +1116,7 @@ pub(crate) fn execute_delta(
         for &id in &ready {
             let is_dirty = cache.output(id).is_none()
                 || id.ctx_reads().iter().any(|r| dirty_ctx.contains(r))
-                || id.deps().iter().any(|&d| changed.contains(d));
+                || AnalysisSet::of(id.deps()).closure().intersects(changed);
             if is_dirty {
                 dirty.push(id);
             } else if let Some(out) = cache.output(id) {
@@ -1292,6 +1301,11 @@ mod tests {
         }
         assert_eq!(s.len(), 5);
         assert!(!s.contains(StageId::Vulnerability));
+        // The upstream closure `execute_delta` checks for changes: Fda's
+        // reaches Causal through Matching, but not Burst beside it.
+        let upstream = AnalysisSet::of(StageId::Fda.deps()).closure();
+        assert!(upstream.intersects(AnalysisSet::of(&[StageId::Causal])));
+        assert!(!upstream.intersects(AnalysisSet::of(&[StageId::Burst])));
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn usage(err: &str) -> ExitCode {
          analyze --append folds each extra file into the base analysis\n\
          incrementally; the report matches a one-shot run over the\n\
          concatenation bit for bit. With --timings, per-stage wall clock\n\
-         goes to stderr for each fold (only dirty stages appear).\n\
+         goes to stderr (per fold with --append, dirty stages only).\n\
          analyze --fda appends the dimensional root-cause table: frequent\n\
          (errcode, midplane, user, project, executable, size) combinations\n\
          ranked by lift over the interruption base rate.\n\
@@ -355,7 +355,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             .run_on_observed(&ctx, AnalysisSet::all(), &timer)
             .into_result()
             .ok_or_else(|| CliError::Io("full analysis set left a product empty".into()))
-            .inspect(|_| print!("{}", timer.report()))?
+            .inspect(|_| eprint!("{}", timer.report()))?
     } else {
         pipeline.run(&ras, &jobs)
     };

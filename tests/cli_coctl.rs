@@ -139,10 +139,13 @@ fn analyze_timings_and_impact_out() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // The observed run produces the same report plus per-stage wall times.
+    // The observed run prints the same report on stdout and its
+    // per-stage wall times on stderr.
     assert!(text.contains("Obs 12"));
-    assert!(text.contains("stage timings:"));
-    assert!(text.contains("temporal-spatial"));
+    assert!(!text.contains("stage timings:"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("stage timings:"));
+    assert!(err.contains("temporal-spatial"));
     // The impact file round-trips through the serve-side parser.
     let written = std::fs::read_to_string(&impact).unwrap();
     assert!(written.starts_with("# bgp-impact v1"));

@@ -184,6 +184,39 @@ fn job_only_batch_skips_the_filter_stack() {
     assert!(report.reran.contains(StageId::Matching));
 }
 
+#[test]
+fn fine_ras_only_batches_from_an_empty_ras_prime_match_one_shot() {
+    // The daemon's traffic shape: the whole job log up front, RAS arriving
+    // in small batches. A record absorbed into an existing event changes
+    // `events` (its merged count) while `Matching` can stay equal, so this
+    // catches a stage served from cache although a product it reads from
+    // further upstream than its direct deps changed.
+    let cfg = CoAnalysisConfig::default();
+    let out = Simulation::new(SimConfig::small_test(21))
+        .expect("valid config")
+        .run();
+    let records: Vec<RasRecord> = out.ras.records().to_vec();
+    let jobs: Vec<JobRecord> = out.jobs.jobs().to_vec();
+    let full = oracle(cfg, records.clone(), jobs.clone());
+
+    let (mut session, _) = DeltaSession::new(
+        cfg,
+        &RasLog::from_records(Vec::new()),
+        JobLog::from_jobs(jobs),
+    );
+    let mut last = None;
+    for batch in records.chunks(32) {
+        let (result, _) = session.append(AppendBatch {
+            ras: batch.to_vec(),
+            jobs: Vec::new(),
+        });
+        last = Some(result);
+    }
+    let last = last.expect("at least one batch");
+    assert_eq!(last.interruption, full.interruption);
+    assert_results_identical(&last, &full);
+}
+
 // ---------------------------------------------------------------------------
 // Proptests: adversarial splits of a small synthetic stream.
 // ---------------------------------------------------------------------------

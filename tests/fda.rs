@@ -4,6 +4,9 @@
 //! same ranking — on random small tables; thread counts 1/2/7/16 must
 //! agree bit-for-bit on a table large enough to clear the parallel size
 //! gate; and the empty/degenerate tables must come back well-formed.
+//! The brute force reads its rows from `JobDims`, so a separate test
+//! re-interns a simulated job table from the raw records and re-derives
+//! the printed FDA table's labels and supports from them.
 //!
 //! Support monotonicity makes the brute force exact: an itemset has
 //! fatal support ≥ the minimum iff all its subsets do, so "every itemset
@@ -13,16 +16,17 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, missing_docs)]
 
 use bgp_coanalysis::bgp_model::{Location, Partition, Timestamp};
+use bgp_coanalysis::bgp_sim::{SimConfig, Simulation};
 use bgp_coanalysis::coanalysis::analysis::fda::{
     FdaAnalysis, FdaDim, FdaItemValue, FdaItemset, FdaParams, JobDims, MIN_PARALLEL_WORK, NUM_DIMS,
     NUM_JOB_DIMS,
 };
 use bgp_coanalysis::coanalysis::matching::{EventCase, EventMatch, Matching};
-use bgp_coanalysis::coanalysis::Event;
+use bgp_coanalysis::coanalysis::{CoAnalysis, Event};
 use bgp_coanalysis::joblog::{ExecId, ExitStatus, JobRecord, ProjectId, UserId};
 use bgp_coanalysis::raslog::{Catalog, ErrCode};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn job(job_id: u64, user: u32, project: u32, exec: u32, mp: u8, width: u32) -> JobRecord {
     JobRecord {
@@ -188,7 +192,7 @@ fn brute_force(
                     value: if d == 0 {
                         ErrCode(key as u16).to_string()
                     } else {
-                        dims.job_name(d as usize - 1, key as u32).to_string()
+                        dims.job_name(d as usize - 1, key as u32)
                     },
                 })
                 .collect(),
@@ -310,6 +314,170 @@ fn single_dimension_table_mines_only_singletons() {
     assert_eq!(code_sets.len(), 2);
     assert!(code_sets.iter().all(|s| s.total_support == s.fatal_support));
     assert_eq!(r, brute_force(&events, &matching, &dims, &params));
+}
+
+/// The typed value and display name of each job dimension of `j`, taken
+/// from the record alone: the partition's lowest midplane (`-` when the
+/// partition is empty), user, project, executable, size in midplanes.
+fn typed_dims(j: &JobRecord) -> [(u64, String); NUM_JOB_DIMS] {
+    let mp = j.partition.midplanes().next();
+    let size = j.partition.len();
+    [
+        (
+            mp.map_or(u64::MAX, |m| m.index() as u64),
+            mp.map_or_else(|| "-".to_string(), |m| m.to_string()),
+        ),
+        (u64::from(j.user.0), j.user.to_string()),
+        (u64::from(j.project.0), j.project.to_string()),
+        (u64::from(j.exec.0), j.exec.to_string()),
+        (u64::from(size), size.to_string()),
+    ]
+}
+
+/// Every `JobDims` accessor against an interning recomputed from the raw
+/// records: ids are ranks in the sorted distinct typed values, names are
+/// the typed `Display`, rows are table order.
+fn assert_dims_match_records(jobs: &[JobRecord], dims: &JobDims) {
+    assert_eq!(dims.rows(), jobs.len());
+    let typed: Vec<[(u64, String); NUM_JOB_DIMS]> = jobs.iter().map(typed_dims).collect();
+    for d in 0..NUM_JOB_DIMS {
+        let dict: BTreeMap<u64, &str> = typed.iter().map(|t| (t[d].0, t[d].1.as_str())).collect();
+        let keys: Vec<u64> = dict.keys().copied().collect();
+        assert_eq!(dims.job_dict_len(d), keys.len(), "dim {d} universe");
+        for (id, name) in dict.values().enumerate() {
+            assert_eq!(dims.job_name(d, id as u32), *name, "dim {d} id {id}");
+        }
+        assert_eq!(
+            dims.job_name(d, keys.len() as u32),
+            "",
+            "dim {d} past the end"
+        );
+        let ranks: Vec<u32> = typed
+            .iter()
+            .map(|t| keys.binary_search(&t[d].0).unwrap() as u32)
+            .collect();
+        assert_eq!(dims.job_col(d), &ranks[..], "dim {d} column");
+    }
+    for (row, j) in jobs.iter().enumerate() {
+        assert_eq!(dims.row_of(j.job_id), Some(row as u32));
+    }
+}
+
+/// Re-derive every itemset line of a rendered FDA table from the raw
+/// records: count the jobs whose typed display names (and, for the
+/// errcode, attributed code) equal each printed `dim=value`, and compare
+/// with the printed `fatal/total`. Returns the number of lines checked.
+fn assert_table_matches_records(
+    text: &str,
+    jobs: &[JobRecord],
+    code_of: &HashMap<u64, ErrCode>,
+) -> usize {
+    let typed: Vec<[(u64, String); NUM_JOB_DIMS]> = jobs.iter().map(typed_dims).collect();
+    let mut checked = 0;
+    for line in text.lines().skip(2) {
+        if line.trim_start().starts_with('…') {
+            continue;
+        }
+        let (_, rest) = line.split_once("x  ").expect("lift column");
+        let (fatal, rest) = rest.trim_start().split_once('/').expect("fatal/total");
+        let (total, items) = rest.split_once(' ').expect("items column");
+        let items: Vec<(usize, &str)> = items
+            .trim_start()
+            .split(", ")
+            .map(|item| {
+                let (dim, value) = item.split_once('=').expect("dim=value");
+                let d = FdaDim::ALL.iter().position(|x| x.name() == dim).unwrap();
+                (d, value)
+            })
+            .collect();
+        let (mut want_fatal, mut want_total) = (0u32, 0u32);
+        for (j, t) in jobs.iter().zip(&typed) {
+            let code = code_of.get(&j.job_id).map(ToString::to_string);
+            let hit = items.iter().all(|&(d, value)| match d.checked_sub(1) {
+                None => code.as_deref() == Some(value),
+                Some(jd) => t[jd].1 == value,
+            });
+            if hit {
+                want_total += 1;
+                want_fatal += u32::from(code.is_some());
+            }
+        }
+        assert_eq!(fatal.trim().parse::<u32>().unwrap(), want_fatal, "{line}");
+        assert_eq!(total.trim().parse::<u32>().unwrap(), want_total, "{line}");
+        checked += 1;
+    }
+    checked
+}
+
+/// The code each interrupted job is attributed: the smallest among the
+/// events whose victims list it.
+fn attributed_codes(events: &[Event], matching: &Matching) -> HashMap<u64, ErrCode> {
+    let mut code_of: HashMap<u64, ErrCode> = HashMap::new();
+    for (e, em) in events.iter().zip(&matching.per_event) {
+        for &id in &em.victims {
+            let c = code_of.entry(id).or_insert(e.errcode);
+            *c = (*c).min(e.errcode);
+        }
+    }
+    code_of
+}
+
+#[test]
+fn job_dims_and_the_fda_table_match_the_raw_job_records() {
+    let out = Simulation::new(SimConfig::small_test(7))
+        .expect("valid config")
+        .run();
+
+    // The `--fda` table of a full run, re-derived line by line from the
+    // raw job records and the run's own matching.
+    let r = CoAnalysis::default().run(&out.ras, &out.jobs);
+    assert!(!r.fda.ranked.is_empty(), "no ranked itemsets to check");
+    let lines = assert_table_matches_records(
+        &r.fda.to_string(),
+        out.jobs.jobs(),
+        &attributed_codes(&r.events, &r.matching),
+    );
+    assert_eq!(lines, r.fda.ranked.len().min(15));
+
+    // The same job table plus one hand-built row with an empty partition.
+    let mut jobs = out.jobs.jobs().to_vec();
+    let mut blank = job(u64::MAX, 9_999, 9_999, 99_999, 0, 1);
+    blank.partition = Partition::empty();
+    jobs.push(blank);
+    let dims = JobDims::from_jobs(&jobs);
+    assert_dims_match_records(&jobs, &dims);
+    assert_eq!(dims.job_name(0, dims.job_dict_len(0) as u32 - 1), "-");
+    assert_eq!(dims.job_name(4, 0), "0");
+
+    // The empty-partition row is the only victim of one code, so its
+    // singletons carry the top lift and its midplane reaches the table.
+    let every_seventh: Vec<u64> = out
+        .jobs
+        .jobs()
+        .iter()
+        .step_by(7)
+        .map(|j| j.job_id)
+        .collect();
+    let (events, matching) = fixture(&jobs, &[(0, vec![u64::MAX]), (1, every_seventh)]);
+    let params = FdaParams {
+        min_support_frac: 0.0,
+        min_support_floor: 1,
+        min_lift: 2.0,
+        max_level: 1,
+    };
+    let r = FdaAnalysis::compute(&events, &matching, &dims, &params, 2);
+    let text = r.to_string();
+    assert!(text.contains("midplane=-"), "{text}");
+    let size0 = FdaItemValue {
+        dim: FdaDim::Size,
+        value: "0".to_string(),
+    };
+    assert!(r
+        .ranked
+        .iter()
+        .any(|set| set.items == std::slice::from_ref(&size0)));
+    let code_of = attributed_codes(&events, &matching);
+    assert!(assert_table_matches_records(&text, &jobs, &code_of) > 2);
 }
 
 /// Strategy for one random small table plus miner params. The min-lift
